@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"heteromem/internal/addrspace"
@@ -311,6 +313,35 @@ func TestLocalitySchemeRejectedForModel(t *testing.T) {
 	scheme := locality.ImplPrivExplShared
 	if _, err := NewWithOptions(systems.CPUGPU(), Options{Locality: &scheme}); err == nil {
 		t.Fatal("shared-space scheme accepted under disjoint model")
+	}
+}
+
+// A loaded program is still checked on every Run: its phases are exported
+// and mutable, so an instruction edited after LoadProgram must be
+// rejected with an error before it reaches the cores.
+func TestRunRejectsProgramEditedAfterLoad(t *testing.T) {
+	var buf bytes.Buffer
+	if err := workload.SaveProgram(&buf, workload.MustGenerate("reduction")); err != nil {
+		t.Fatal(err)
+	}
+	p, err := workload.LoadProgram(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := false
+	for i := range p.Phases {
+		if gpu := p.Phases[i].GPU; len(gpu) > 0 {
+			gpu[len(gpu)/2].Kind = 200
+			edited = true
+			break
+		}
+	}
+	if !edited {
+		t.Fatal("reduction has no materialized GPU instruction to edit")
+	}
+	_, err = MustNew(systems.CPUGPU()).Run(p)
+	if err == nil || !strings.Contains(err.Error(), "invalid kind 200") {
+		t.Fatalf("Run on edited program: err = %v, want invalid kind 200", err)
 	}
 }
 

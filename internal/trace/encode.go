@@ -123,7 +123,11 @@ func Read(r io.Reader) (Stream, error) {
 	if count == 0 {
 		return nil, nil
 	}
-	out := make(Stream, 0, count)
+	// The header count is untrusted until its records arrive: preallocate
+	// at most maxPrealloc records and let append grow past that, so a
+	// forged count costs no more memory than the bytes actually behind it.
+	const maxPrealloc = 1 << 20
+	out := make(Stream, 0, min(count, maxPrealloc))
 	// Decode in chunks: exact consumption with few large reads.
 	const chunkRecords = 4096
 	buf := make([]byte, chunkRecords*recordBytes)

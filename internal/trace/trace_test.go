@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -50,6 +52,25 @@ func TestValidateRejects(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestAcceptsMatchesValidate is the oracle for Stream.Validate's fast
+// path: over every kind, lane count, push level and zero/non-zero size,
+// accepts holds exactly when the written rule set returns nil.
+func TestAcceptsMatchesValidate(t *testing.T) {
+	for k := 0; k < 256; k++ {
+		for lanes := uint8(0); lanes < 16; lanes++ {
+			for push := uint8(0); push < 4; push++ {
+				for _, size := range []uint32{0, 8} {
+					in := Inst{Kind: isa.Kind(k), Lanes: lanes, PushLevel: push, Size: size}
+					err := in.Validate()
+					if got := in.accepts(); got != (err == nil) {
+						t.Fatalf("%+v: accepts = %v, Validate = %v", in, got, err)
+					}
+				}
+			}
 		}
 	}
 }
@@ -165,6 +186,25 @@ func TestReadRejectsTruncated(t *testing.T) {
 	}
 }
 
+// A 14-byte header claiming 2^24 records must fail on the missing
+// records without first allocating room for all of them (512 MB).
+func TestReadForgedCountBoundsAllocation(t *testing.T) {
+	var head [4 + 10]byte
+	copy(head[:], magic)
+	binary.LittleEndian.PutUint16(head[4:6], version)
+	binary.LittleEndian.PutUint64(head[6:14], 1<<24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(head[:]))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header with no records behind its count accepted")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<20 {
+		t.Fatalf("forged header allocated %d MB, want < 64 MB", d>>20)
+	}
+}
+
 func TestReadRejectsBadVersion(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, nil); err != nil {
@@ -205,6 +245,34 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkStreamValidate prices the per-Run program check on a
+// 1M-record mix of the kinds the Table III kernels emit.
+func BenchmarkStreamValidate(b *testing.B) {
+	mix := []Inst{
+		{Kind: isa.ALU},
+		{Kind: isa.Load, Size: 8},
+		{Kind: isa.Store, Size: 8},
+		{Kind: isa.Branch, Taken: true},
+		{Kind: isa.SIMDALU, Lanes: 8},
+		{Kind: isa.SIMDFP, Lanes: 4},
+		{Kind: isa.SIMDLoad, Size: 32, Lanes: 8},
+		{Kind: isa.SIMDStore, Size: 32, Lanes: 8},
+		{Kind: isa.Push, Size: 4096, PushLevel: PushShared},
+	}
+	s := make(Stream, 1<<20)
+	for i := range s {
+		s[i] = mix[i%len(mix)]
+		s[i].PC = uint64(i) * 4
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(s)), "ns/inst")
 }
 
 func BenchmarkWrite(b *testing.B) {
