@@ -134,10 +134,6 @@ const (
 	SharedMMU = xlat.Shared
 )
 
-// ParseTranslationPreset resolves a named translation preset ("off",
-// "4k", "2m", "4k-shared", "2m-shared") into a Translation spec.
-func ParseTranslationPreset(name string) (Translation, error) { return xlat.ParsePreset(name) }
-
 // Declarative system and grid serialisation (JSON).
 var (
 	// LoadSystem parses a declarative system description.
@@ -190,12 +186,6 @@ func Kernels() []string { return workload.Names() }
 // GenerateKernel builds the named kernel's phase program with
 // materialized trace streams (for serialization and inspection).
 func GenerateKernel(name string) (*Program, error) { return workload.Generate(name) }
-
-// OpenKernel builds the named kernel's phase program in streaming form:
-// compute phases synthesize their instructions on demand during replay,
-// so opening is O(1) in the kernel's instruction count. Prefer this for
-// simulation; the delivered instructions are identical to GenerateKernel's.
-func OpenKernel(name string) (*Program, error) { return workload.Open(name) }
 
 // NewSimulator returns a simulator for the system with the Table II
 // baseline configuration. A simulator is stateful; use a fresh one per

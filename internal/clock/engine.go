@@ -31,7 +31,7 @@ type bucket struct {
 // where runs are compared against each other).
 type Engine struct {
 	now       Time
-	heap      []*bucket       // min-heap on at; one bucket per distinct timestamp
+	heap      []*bucket // min-heap on at; one bucket per distinct timestamp
 	byTime    map[Time]*bucket
 	free      []*bucket // drained buckets awaiting reuse
 	pending   int

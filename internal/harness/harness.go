@@ -220,58 +220,22 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 			// the worker exits and is never Reset while the pool lives.
 			ar := arena.New()
 			sims := make([]*sim.Simulator, len(sysList))
-			if obsv == nil {
-				// Uninstrumented worker loop, kept separate from the
-				// observed one so an unobserved sweep (the benchmarks)
-				// executes exactly the pre-observability body.
-				for j := range jobs {
-					idx := j.ki*len(sysList) + j.si
-					p, sys := programs[j.ki], sysList[j.si]
-					s := sims[j.si]
-					if s == nil {
-						var err error
-						if s, err = sim.NewWithOptions(sys, sim.Options{Arena: ar}); err != nil {
-							errs[idx] = fmt.Errorf("%s on %s: %w", p.Name, sys.Name, err)
-							continue
-						}
-						sims[j.si] = s
-					} else {
-						s.Reset()
-					}
-					res, err := s.Run(p)
-					if err != nil {
-						errs[idx] = fmt.Errorf("%s on %s: %w", p.Name, sys.Name, err)
-						continue
-					}
-					if j.verify {
-						if res != cells[idx].Result {
-							errs[idx] = fmt.Errorf("%s on %s: %w (key %s)",
-								p.Name, sys.Name, ErrCacheMismatch, keys[idx].Digest())
-						}
-						continue
-					}
-					// (miss) fill the cache before publishing the cell.
-					if e.Cache != nil {
-						// Write failures degrade to memory-only; the store
-						// latches them for the CLI to surface as a warning.
-						_ = e.Cache.Put(keys[idx], res)
-					}
-					cells[idx] = Cell{System: sys.Name, Kernel: p.Name, Result: res}
-				}
-				return
-			}
 			// Observability state is per worker: one registry (and
 			// optional host profiler / interval sampler) shared by the
 			// worker's pooled simulators, reset before every cell so each
-			// post-run snapshot covers exactly that cell.
-			reg := obs.NewRegistry()
+			// post-run snapshot covers exactly that cell. An unobserved
+			// sweep leaves all three nil.
+			var reg *obs.Registry
 			var hp *obs.HostProf
 			var sampler *obs.Sampler
-			if obsv.HostProfEvery > 0 {
-				hp = obs.NewHostProf(obsv.HostProfEvery)
-			}
-			if obsv.IntervalPS > 0 {
-				sampler = obs.NewSampler(reg, obsv.IntervalPS)
+			if obsv != nil {
+				reg = obs.NewRegistry()
+				if obsv.HostProfEvery > 0 {
+					hp = obs.NewHostProf(obsv.HostProfEvery)
+				}
+				if obsv.IntervalPS > 0 {
+					sampler = obs.NewSampler(reg, obsv.IntervalPS)
+				}
 			}
 			for j := range jobs {
 				idx := j.ki*len(sysList) + j.si
@@ -306,10 +270,12 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 				if j.verify && err == nil && res != cells[idx].Result {
 					err = fmt.Errorf("%w (key %s)", ErrCacheMismatch, keys[idx].Digest())
 				}
-				rec := newCellRecord(sys.Name, specs[j.si], p.Name, res, err)
-				rec.Verify = j.verify
-				obsv.endCell(w, span, rec, reg.Snapshot(), j.enqueue, started)
-				obsv.writeIntervalCSV(sys.Name, p.Name, sampler)
+				if obsv != nil {
+					rec := newCellRecord(sys.Name, specs[j.si], p.Name, res, err)
+					rec.Verify = j.verify
+					obsv.endCell(w, span, rec, reg.Snapshot(), j.enqueue, started)
+					obsv.writeIntervalCSV(sys.Name, p.Name, sampler)
+				}
 				if err != nil {
 					errs[idx] = fmt.Errorf("%s on %s: %w", p.Name, sys.Name, err)
 					continue
@@ -317,6 +283,9 @@ func (e Executor) RunSystems(sysList []systems.System, kernels []string) ([]Cell
 				if j.verify {
 					continue
 				}
+				// (miss) fill the cache before publishing the cell. Write
+				// failures degrade to memory-only; the store latches them
+				// for the CLI to surface as a warning.
 				if e.Cache != nil {
 					_ = e.Cache.Put(keys[idx], res)
 				}

@@ -166,17 +166,6 @@ func (k Kind) IsComm() bool {
 // cache rather than the hardware hierarchy.
 func (k Kind) IsSoftwareCache() bool { return k == SWLoad || k == SWStore }
 
-// CoreLocal reports whether executing k touches only the issuing core's
-// private state: no data-cache hierarchy (IsMem), no software-managed
-// cache (whose misses spill into the hierarchy), no communication fabric
-// (IsComm), no explicit placement (Push). A trace consisting solely of
-// core-local instructions cannot observe or disturb anything outside its
-// own core, which is the property the simulator's certified parallel
-// phase execution relies on (see sim.runParallel).
-func (k Kind) CoreLocal() bool {
-	return !(k.IsMem() || k.IsSoftwareCache() || k.IsComm() || k == Push)
-}
-
 // ExecLatency returns the fixed execution latency in core cycles for
 // compute instructions. Memory and communication instructions return 0
 // here because their latency is determined by the memory system or the

@@ -5,8 +5,8 @@
 // accesses and explicit push placements, and exposes the GPU's
 // software-managed cache.
 //
-// Each access runs as a memsys.Request through an explicit stage
-// pipeline (private levels, MSHR, ring hops, L3, coherence, DRAM,
+// Each access runs as a memsys.Request through a memsys.Chain of
+// stages (private levels, MSHR, ring hops, L3, coherence, DRAM,
 // commit); this package owns the composition, internal/memsys owns the
 // stages.
 package mem
@@ -233,7 +233,7 @@ type Stats struct {
 }
 
 // Hierarchy is the assembled memory system: the cache/ring/DRAM
-// substrates plus the per-PU memsys pipelines that route each access
+// substrates plus the per-PU memsys chains that route each access
 // through them.
 type Hierarchy struct {
 	cfg     Config
@@ -427,17 +427,18 @@ func NewIn(a *arena.Arena, cfg Config) (*Hierarchy, error) {
 	for p := range h.gen {
 		h.gen[p] = 1 // zero-valued memo slots must never match
 	}
-	if err := h.buildPipelines(); err != nil {
+	if err := h.buildChains(); err != nil {
 		return nil, err
 	}
 	return h, nil
 }
 
-// buildPipelines composes the per-PU stage pipelines over the
-// substrates New assembled: private levels, MSHR merge, request hop,
-// L3 (with coherence), the terminal backend cfg.Tech selects, response
-// hop, commit. Stage order is the request path of Table II.
-func (h *Hierarchy) buildPipelines() error {
+// buildChains composes the per-PU memsys.Chain request paths over the
+// substrates New assembled: translation, private levels, MSHR merge,
+// request hop, L3 (with coherence), the terminal backend cfg.Tech
+// selects, response hop, commit. Stage order is the request path of
+// Table II.
+func (h *Hierarchy) buildChains() error {
 	cfg := h.cfg
 	h.topo = memsys.Topology{
 		PUStop:    [memsys.NumPUs]int{cfg.cpuStop(), cfg.gpuStop()},

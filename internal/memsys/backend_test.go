@@ -69,8 +69,8 @@ func TestNVMReadWriteAsymmetry(t *testing.T) {
 	env := &Env{}
 	topo := testTopo()
 	s := &NVMStage{
-		Chans:    []*clock.Resource{clock.NewResource("ch0")},
-		ReadLat:  100, WriteLat: 1000, Bus: 10, QueueDepth: 2,
+		Chans:   []*clock.Resource{clock.NewResource("ch0")},
+		ReadLat: 100, WriteLat: 1000, Bus: 10, QueueDepth: 2,
 		Net: &fakeNet{lat: 0}, Topo: topo, L3: newTestL3(t, env), Env: env,
 	}
 	s.L3.Mem = s
@@ -94,8 +94,8 @@ func TestNVMWriteQueueStallsReads(t *testing.T) {
 	env := &Env{}
 	topo := testTopo()
 	s := &NVMStage{
-		Chans:    []*clock.Resource{clock.NewResource("ch0")},
-		ReadLat:  100, WriteLat: 1000, Bus: 0, QueueDepth: 2,
+		Chans:   []*clock.Resource{clock.NewResource("ch0")},
+		ReadLat: 100, WriteLat: 1000, Bus: 0, QueueDepth: 2,
 		Net: &fakeNet{lat: 0}, Topo: topo, L3: newTestL3(t, env), Env: env,
 	}
 	s.L3.Mem = s

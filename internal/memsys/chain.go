@@ -7,16 +7,15 @@ import (
 	"heteromem/internal/obs"
 )
 
-// Chain is the devirtualized form of the built-in pipeline: the same
-// stages in the same order as mem.Hierarchy's Pipeline composition, but
-// held as concrete types and invoked directly, so the per-access
-// interface dispatch of Pipeline.Run disappears from the hot path. The
-// Stage interface and Pipeline remain the extension surface for tests
-// and alternative hierarchies; Chain is the monomorphic production
-// path.
+// Chain is the memory request path: the stages of Table II's hierarchy
+// in request order — translation, private levels, MSHR merge, request
+// ring hop, L3 (with coherence), the terminal backend, response ring hop,
+// commit — held as concrete types and invoked directly, so no per-access
+// interface dispatch sits on the hot path. mem.Hierarchy builds one per
+// PU.
 //
-// Stamping matches Pipeline.Run exactly: every executed stage records
-// its completion time, and a Done verdict skips the rest.
+// Every executed stage stamps its completion time into r.Stamp, and a
+// Done verdict skips the rest.
 type Chain struct {
 	// Xlat, when non-nil, is the address-translation front-end (the
 	// translation axis): every access is translated before it touches
@@ -36,13 +35,16 @@ type Chain struct {
 	Commit  *CommitStage
 
 	// Prof, when non-nil, attributes sampled HOST wall-clock time to the
-	// chain's stages: one in every Prof.Every() runs takes the timed path
-	// below, so a sweep can see which simulation stage burns real time
-	// without paying two clock reads per stage on every access. ProfBase
-	// is the profiler section id of the private stage; the remaining
-	// stages follow contiguously in chain order (see ProfSections).
+	// chain's stages: one in every Prof.Every() runs reads the host clock
+	// after each stage, so a sweep can see which simulation stage burns
+	// real time without paying a clock read per stage on every access.
+	// ProfBase is the profiler section id of the first stage (xlat); the
+	// remaining stages follow contiguously in chain order (see
+	// ProfSections). mark is the host time of a sampled run's last stage
+	// boundary.
 	Prof     *obs.HostProf
 	ProfBase int
+	mark     time.Time
 }
 
 // ProfSections lists the chain's host-profiling section names in stage
@@ -68,22 +70,22 @@ const (
 	profCommit
 )
 
-// Run processes r through the full chain; it is equivalent to
-// Pipeline.Run over the same stages.
+// Run processes r through the full chain.
 func (c *Chain) Run(r *Request) clock.Time {
-	if c.Prof.Sample() {
-		return c.runProfiled(r, false)
+	prof := c.Prof.Sample()
+	if prof {
+		c.mark = time.Now()
 	}
 	if c.Xlat != nil {
 		c.Xlat.Process(r)
-		r.Stamp[StageXlat] = r.Now
+		c.stamp(r, StageXlat, prof, profXlat)
 	}
 	v := c.Private.Process(r)
-	r.Stamp[StagePrivate] = r.Now
+	c.stamp(r, StagePrivate, prof, profPrivate)
 	if v == Done {
 		return r.Now
 	}
-	return c.runShared(r)
+	return c.runShared(r, prof)
 }
 
 // RunMissedL1 continues a request whose first-level lookup was already
@@ -92,88 +94,54 @@ func (c *Chain) Run(r *Request) clock.Time {
 // translation axis is on the caller has already translated the address
 // (the hierarchy charges Xlat before its L1 probe).
 func (c *Chain) RunMissedL1(r *Request) clock.Time {
-	if c.Prof.Sample() {
-		return c.runProfiled(r, true)
+	prof := c.Prof.Sample()
+	if prof {
+		c.mark = time.Now()
 	}
 	v := c.Private.ProcessMissedL1(r)
-	r.Stamp[StagePrivate] = r.Now
+	c.stamp(r, StagePrivate, prof, profPrivate)
 	if v == Done {
 		return r.Now
 	}
-	return c.runShared(r)
+	return c.runShared(r, prof)
 }
 
 // runShared is the shared-path tail: MSHR merge, ring hop out, L3 (with
 // coherence), the terminal backend, ring hop back, commit.
-func (c *Chain) runShared(r *Request) clock.Time {
+func (c *Chain) runShared(r *Request, prof bool) clock.Time {
 	v := c.MSHR.Process(r)
-	r.Stamp[StageMSHR] = r.Now
+	c.stamp(r, StageMSHR, prof, profMSHR)
 	if v == Done {
 		return r.Now
 	}
 	c.ReqHop.Process(r)
-	r.Stamp[StageRingReq] = r.Now
+	c.stamp(r, StageRingReq, prof, profRingReq)
 	c.L3.Process(r)
-	r.Stamp[StageL3] = r.Now
+	c.stamp(r, StageL3, prof, profL3)
 	c.Backend.Process(r)
-	r.Stamp[StageDRAM] = r.Now
+	c.stamp(r, StageDRAM, prof, profDRAM)
 	c.RespHop.Process(r)
-	r.Stamp[StageRingResp] = r.Now
+	c.stamp(r, StageRingResp, prof, profRingResp)
 	c.Commit.Process(r)
-	r.Stamp[StageCommit] = r.Now
+	c.stamp(r, StageCommit, prof, profCommit)
 	return r.Now
 }
 
-// runProfiled is Run/RunMissedL1 with host-time stamps around every
-// stage. Simulated timing and cache mutations are identical to the
-// unprofiled path — only real time is measured, so a profiled run stays
-// bit-identical to an unprofiled one.
-func (c *Chain) runProfiled(r *Request, missedL1 bool) clock.Time {
-	if !missedL1 && c.Xlat != nil {
-		t := time.Now()
-		c.Xlat.Process(r)
-		r.Stamp[StageXlat] = r.Now
-		c.Prof.Add(c.ProfBase+profXlat, time.Since(t))
+// stamp records stage s's completion time and, on a profiled run, adds
+// the host time since the last mark to the stage's section. Only real
+// time is measured, so a profiled run stays bit-identical to an
+// unprofiled one.
+func (c *Chain) stamp(r *Request, s StageID, prof bool, off int) {
+	r.Stamp[s] = r.Now
+	if prof {
+		c.lap(off)
 	}
-	t := time.Now()
-	var v Verdict
-	if missedL1 {
-		v = c.Private.ProcessMissedL1(r)
-	} else {
-		v = c.Private.Process(r)
-	}
-	r.Stamp[StagePrivate] = r.Now
-	c.Prof.Add(c.ProfBase+profPrivate, time.Since(t))
-	if v == Done {
-		return r.Now
-	}
+}
 
-	t = time.Now()
-	v = c.MSHR.Process(r)
-	r.Stamp[StageMSHR] = r.Now
-	c.Prof.Add(c.ProfBase+profMSHR, time.Since(t))
-	if v == Done {
-		return r.Now
-	}
-	t = time.Now()
-	c.ReqHop.Process(r)
-	r.Stamp[StageRingReq] = r.Now
-	c.Prof.Add(c.ProfBase+profRingReq, time.Since(t))
-	t = time.Now()
-	c.L3.Process(r)
-	r.Stamp[StageL3] = r.Now
-	c.Prof.Add(c.ProfBase+profL3, time.Since(t))
-	t = time.Now()
-	c.Backend.Process(r)
-	r.Stamp[StageDRAM] = r.Now
-	c.Prof.Add(c.ProfBase+profDRAM, time.Since(t))
-	t = time.Now()
-	c.RespHop.Process(r)
-	r.Stamp[StageRingResp] = r.Now
-	c.Prof.Add(c.ProfBase+profRingResp, time.Since(t))
-	t = time.Now()
-	c.Commit.Process(r)
-	r.Stamp[StageCommit] = r.Now
-	c.Prof.Add(c.ProfBase+profCommit, time.Since(t))
-	return r.Now
+// lap charges the host time since the last mark to section off and
+// moves the mark; it stays out of stamp so stamp inlines.
+func (c *Chain) lap(off int) {
+	now := time.Now()
+	c.Prof.Add(c.ProfBase+off, now.Sub(c.mark))
+	c.mark = now
 }

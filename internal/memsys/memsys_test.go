@@ -6,6 +6,8 @@ import (
 	"heteromem/internal/cache"
 	"heteromem/internal/clock"
 	"heteromem/internal/dram"
+	"heteromem/internal/obs"
+	"heteromem/internal/xlat"
 )
 
 // fakeNet records every Send and charges a fixed latency per hop.
@@ -56,39 +58,113 @@ func TestTopologyMapping(t *testing.T) {
 	}
 }
 
-// stubStage charges a fixed latency and returns a fixed verdict.
-type stubStage struct {
-	id  StageID
-	lat clock.Duration
-	v   Verdict
+// newTestChain returns a CPU chain over small private caches, a
+// four-tile L3 and a DDR3 backend, with 4 KB translation in front.
+func newTestChain(t *testing.T, prof *obs.HostProf) *Chain {
+	t.Helper()
+	ctrl, err := dram.New(dram.DDR3_1333())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &Env{}
+	net := &fakeNet{lat: 3}
+	topo := testTopo()
+	l3 := newTestL3(t, env)
+	private := &PrivateStage{
+		PU: CPU, L1: mustCache(t, "l1", 4096), L1Lat: 2,
+		L2: mustCache(t, "l2", 8192), L2Lat: 8, Env: env,
+	}
+	file := cache.NewMSHR(4)
+	c := &Chain{
+		Xlat:    mustStage(t, xlat.MustParsePreset("4k")),
+		Private: private,
+		MSHR:    &MSHRStage{File: file},
+		ReqHop:  &RingHopStage{Stage: StageRingReq, Net: net, Topo: topo},
+		L3:      l3,
+		Backend: &DRAMStage{Ctrl: ctrl, Net: net, Topo: topo, L3: l3, Env: env},
+		RespHop: &RingHopStage{Stage: StageRingResp, Net: net, Topo: topo},
+		Commit:  &CommitStage{Private: private, File: file, Env: env},
+		Prof:    prof,
+	}
+	l3.Mem = c.Backend
+	for _, name := range ProfSections() {
+		prof.Section(name) // a fresh profiler numbers them from ProfBase 0
+	}
+	return c
 }
 
-func (s stubStage) ID() StageID { return s.id }
-func (s stubStage) Process(r *Request) Verdict {
-	r.Now = r.Now.Add(s.lat)
-	return s.v
-}
-
-func TestPipelineStampsAndShortCircuits(t *testing.T) {
-	p := NewPipeline(
-		stubStage{id: StagePrivate, lat: 10, v: Next},
-		stubStage{id: StageL3, lat: 20, v: Done},
-		stubStage{id: StageDRAM, lat: 1000, v: Next},
-	)
-	var r Request
-	r.Start(CPU, 0x40, 0x40, false, 5)
-	done := p.Run(&r)
-	if done != 35 {
-		t.Fatalf("completion = %d, want 35 (Done must skip later stages)", done)
+// TestChainStampsAndShortCircuits pins the chain's stamping contract on
+// every exit — a stage that answers Done leaves every later stamp zero,
+// and a shared-path request stamps through StageCommit — and pins that
+// a host-profiled chain (every run sampled) produces the same Stamp,
+// Flags and Now as an unprofiled one, stage by stage.
+func TestChainStampsAndShortCircuits(t *testing.T) {
+	type step struct {
+		name  string
+		at    clock.Time
+		evict bool    // drop the line from the private levels first
+		last  StageID // last stage that must stamp
+		flag  Flags   // flag the request must carry
 	}
-	if r.Stamp[StagePrivate] != 15 || r.Stamp[StageL3] != 35 {
-		t.Errorf("stamps = %v, want private=15 l3=35", r.Stamp)
+	steps := []step{
+		{name: "cold miss to DRAM", at: 5, last: StageCommit, flag: FlagDRAM},
+		{name: "L1 hit", at: 1_000_000, last: StagePrivate, flag: FlagL1Hit},
+		{name: "merge with in-flight miss", at: 10, evict: true, last: StageMSHR, flag: FlagMerged},
+		{name: "L3 hit", at: 10_000_000, evict: true, last: StageCommit, flag: FlagL3Hit},
 	}
-	if r.Stamp[StageDRAM] != 0 {
-		t.Errorf("skipped stage stamped %d, want 0", r.Stamp[StageDRAM])
+	run := func(prof *obs.HostProf) []Request {
+		c := newTestChain(t, prof)
+		var out []Request
+		for _, st := range steps {
+			if st.evict {
+				c.Private.L1.Invalidate(0x40)
+				c.Private.L2.Invalidate(0x40)
+			}
+			var r Request
+			r.Start(CPU, 0x40, 0x40, false, st.at)
+			if done := c.Run(&r); done != r.Now {
+				t.Fatalf("%s: Run returned %d, request ends at %d", st.name, done, r.Now)
+			}
+			out = append(out, r)
+		}
+		return out
 	}
-	if r.Latency() != 30 {
-		t.Errorf("latency = %v, want 30", r.Latency())
+	plain := run(nil)
+	prof := obs.NewHostProf(1)
+	profiled := run(prof)
+	for i, st := range steps {
+		r := plain[i]
+		if r.Flags&st.flag == 0 {
+			t.Errorf("%s: flags = %v, want %v set", st.name, r.Flags, st.flag)
+		}
+		for s := StageXlat; s < NumStages; s++ {
+			if s == StageCoherence {
+				continue // the chain folds coherence into private and L3
+			}
+			if stamped := r.Stamp[s] != 0; stamped != (s <= st.last) {
+				t.Errorf("%s: stamp[%v] = %d, want stamped only through %v", st.name, s, r.Stamp[s], st.last)
+			}
+		}
+		if r.Now != r.Stamp[st.last] {
+			t.Errorf("%s: now = %d, last stamp %d", st.name, r.Now, r.Stamp[st.last])
+		}
+		if p := profiled[i]; p.Stamp != r.Stamp || p.Flags != r.Flags || p.Now != r.Now {
+			t.Errorf("%s: profiled run diverged:\n plain    %v %v %d\n profiled %v %v %d",
+				st.name, r.Stamp, r.Flags, r.Now, p.Stamp, p.Flags, p.Now)
+		}
+	}
+	reg := obs.NewRegistry()
+	prof.FlushTo(reg)
+	// Xlat and private run on all 4 steps, MSHR on 3, the rest on the 2
+	// shared-path steps.
+	want := map[string]uint64{
+		"memsys.xlat": 4, "memsys.private": 4, "memsys.mshr": 3, "memsys.ring_req": 2,
+		"memsys.l3": 2, "memsys.dram": 2, "memsys.ring_resp": 2, "memsys.commit": 2,
+	}
+	for name, n := range want {
+		if got := reg.CounterValue("host." + name + ".samples"); got != n {
+			t.Errorf("host.%s.samples = %d, want %d", name, got, n)
+		}
 	}
 }
 

@@ -121,7 +121,7 @@ const (
 
 // Request is one memory transaction in flight. A request is issued at
 // Issue and carries its running completion time in Now; each stage
-// advances Now by the latency it charges and the pipeline stamps the
+// advances Now by the latency it charges and the chain stamps the
 // post-stage time into Stamp, so Stamp[s]-Stamp[previous] is the latency
 // attributable to stage s.
 type Request struct {

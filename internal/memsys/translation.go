@@ -132,7 +132,7 @@ func (s *TranslationStage) Flush(pu PU) {
 // ID implements Stage.
 func (s *TranslationStage) ID() StageID { return StageXlat }
 
-// Process implements Stage for pipeline composition: it translates the
+// Process implements Stage: it translates the
 // request's address and advances r.Now past any walk.
 func (s *TranslationStage) Process(r *Request) Verdict {
 	r.Now = s.Translate(r.PU, r.Addr, r.Now)

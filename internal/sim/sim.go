@@ -179,11 +179,6 @@ type Simulator struct {
 	prologue  trace.Stream
 	cpuPushes trace.Stream
 	gpuPushes trace.Stream
-
-	// forceSequenced pins parallel phases to the lock-step co-simulation
-	// loop even when overlapCertified would allow goroutine overlap; the
-	// A/B bit-identity tests use it to produce the reference timing.
-	forceSequenced bool
 }
 
 // New returns a simulator for the system with the Table II baseline.
@@ -549,38 +544,7 @@ func (s *Simulator) runParallel(ph *workload.Phase, now clock.Time, res *Result)
 	// time order instead of one core reserving everything first.
 	ge := s.gpuCore.Begin(ph.GPUSource(), gpuStart)
 	ce := s.cpuCore.Begin(ph.CPUSource(), start)
-	const forever = clock.Time(^uint64(0))
-	switch {
-	case s.overlapCertified(ph):
-		// Certified interaction-free: at least one half is core-local
-		// (touches nothing outside its own core) and no shared
-		// observability sink is attached, so the two halves cannot
-		// exchange information through the hierarchy, the fabric, or a
-		// metrics registry. Advancing them on separate goroutines is then
-		// bit-identical to the interleaved loop below: chunked StepUntil
-		// calls compose (StepUntil(t1); StepUntil(t2) ≡ StepUntil(t2))
-		// when nothing mutates shared state between chunks, and here
-		// nothing can. The channel close orders the worker's writes
-		// before the joins and the End calls below, which run in the
-		// same fixed order as the sequenced path.
-		done := make(chan struct{})
-		if ph.GPUCoreLocal() {
-			go func() {
-				defer close(done)
-				ge.StepUntil(forever)
-			}()
-			ce.StepUntil(forever)
-		} else {
-			go func() {
-				defer close(done)
-				ce.StepUntil(forever)
-			}()
-			ge.StepUntil(forever)
-		}
-		<-done
-	default:
-		s.runCoSim(ge, ce)
-	}
+	s.runCoSim(ge, ce)
 	gpuEnd, gst := ge.End()
 	cpuEnd, cst := ce.End()
 	addCPUStats(&res.CPU, cst)
@@ -615,8 +579,7 @@ func (s *Simulator) runParallel(ph *workload.Phase, now clock.Time, res *Result)
 // runCoSim advances the two halves of a parallel phase in lock step:
 // repeatedly step whichever core is behind in simulated time up to the
 // other's clock, so their traffic interleaves on the shared hierarchy in
-// time order. This is the general path — it is correct for any pair of
-// halves — and the fallback whenever overlapCertified declines.
+// time order.
 func (s *Simulator) runCoSim(ge *gpu.Execution, ce *cpu.Execution) {
 	const forever = clock.Time(^uint64(0))
 	for !ge.Done() || !ce.Done() {
@@ -643,37 +606,6 @@ func (s *Simulator) runCoSim(ge *gpu.Execution, ce *cpu.Execution) {
 			s.sampler.Advance(uint64(lo))
 		}
 	}
-}
-
-// overlapCertified reports whether a parallel phase's halves may run on
-// separate goroutines with a result bit-identical to runCoSim. The
-// certification rule is deliberately conservative — every condition must
-// hold, and any doubt falls back to the sequenced path:
-//
-//  1. At least one half is core-local (workload.Phase.CPUCoreLocal /
-//     GPUCoreLocal): every one of its instructions executes entirely
-//     inside its own core, so it can neither observe nor disturb the
-//     hierarchy, ring, DRAM, fabric, or the other core.
-//  2. No observability sink is attached. Metrics counters, samplers,
-//     tracers, host profilers, publishers and run spans are shared
-//     mutable state the two goroutines would race on; an instrumented
-//     run always takes the sequenced path.
-//  3. Flush-based coherence only (no directory). The directory is
-//     consulted per miss, and although a core-local half never misses,
-//     declining keeps the rule auditable: nothing coherence-related can
-//     run concurrently at all.
-func (s *Simulator) overlapCertified(ph *workload.Phase) bool {
-	if s.forceSequenced {
-		return false
-	}
-	if s.metrics != nil || s.sampler != nil || s.tracer != nil ||
-		s.hostProf != nil || s.pub != nil || s.runSpan != nil {
-		return false
-	}
-	if s.hier.Directory() != nil {
-		return false
-	}
-	return ph.CPUCoreLocal() || ph.GPUCoreLocal()
 }
 
 func minDur(a, b clock.Duration) clock.Duration {

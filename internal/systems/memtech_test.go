@@ -108,8 +108,8 @@ func TestHashCoversMemTech(t *testing.T) {
 
 func TestGridMemTechAxis(t *testing.T) {
 	g := Grid{
-		Name:     "techs",
-		Models:   nil, Fabrics: nil, Protocols: nil,
+		Name:   "techs",
+		Models: nil, Fabrics: nil, Protocols: nil,
 		MemTechs: memtech.AllKinds(),
 	}
 	points, _ := g.Enumerate()
