@@ -25,13 +25,9 @@ import (
 	"heteromem/internal/guideline"
 	"heteromem/internal/harness"
 	"heteromem/internal/locality"
-	"heteromem/internal/memtech"
-	"heteromem/internal/model"
-	"heteromem/internal/rescache"
 	"heteromem/internal/sim"
 	"heteromem/internal/systems"
 	"heteromem/internal/workload"
-	"heteromem/internal/xlat"
 )
 
 // Re-exported core types. The facade uses type aliases so values flow
@@ -58,32 +54,6 @@ type (
 	Simulator = sim.Simulator
 	// Options tweak a simulator away from the baseline, for ablations.
 	Options = sim.Options
-	// Protocol is a programming-model protocol: the runtime behaviours a
-	// memory model imposes at phase boundaries.
-	Protocol = model.Protocol
-	// ProtocolKind names a built-in programming-model protocol.
-	ProtocolKind = model.Kind
-	// Grid declaratively spans a region of the design space, one list per
-	// axis; Grid.Enumerate takes the cross-product of coherent points.
-	Grid = systems.Grid
-	// MemTech selects the terminal memory technology behind the shared
-	// L3 and its parameters (the mem_tech design axis).
-	MemTech = memtech.Spec
-	// MemTechKind names a terminal memory technology.
-	MemTechKind = memtech.Kind
-	// Translation configures the per-PU address-translation front-end
-	// (TLBs, page walks, MMU sharing — the translation design axis). The
-	// zero value keeps translation off the timed path.
-	Translation = xlat.Spec
-	// TranslationMMU names an MMU arrangement (off, private, shared).
-	TranslationMMU = xlat.MMUKind
-	// ResultCache is the persistent content-addressed cache of simulation
-	// results; attach one to a sweep Executor or probe it directly with a
-	// PointKey. Exact because the simulator is deterministic.
-	ResultCache = rescache.Store
-	// ResultCacheKey identifies one simulation exactly (design point,
-	// kernel, workload shape, result-affecting options).
-	ResultCacheKey = rescache.Key
 )
 
 // The four address-space models (Section II-A, Figure 1).
@@ -92,61 +62,6 @@ const (
 	Disjoint        = addrspace.Disjoint
 	PartiallyShared = addrspace.PartiallyShared
 	ADSM            = addrspace.ADSM
-)
-
-// The built-in programming-model protocols (one per surveyed runtime
-// discipline).
-const (
-	// ExplicitCopy is the CUDA/Fusion discipline: every exchange is an
-	// explicit bulk copy.
-	ExplicitCopy = model.ExplicitCopy
-	// Ownership is acquire/release ownership control without first-touch
-	// faults (the Figure 7 partially-shared semantics).
-	Ownership = model.Ownership
-	// OwnershipFirstTouch is the full LRB model: ownership plus lib-pf
-	// faults on first touch.
-	OwnershipFirstTouch = model.OwnershipFirstTouch
-	// ADSMLazy is GMAC's asymmetric distributed shared memory.
-	ADSMLazy = model.ADSMLazy
-	// IdealProtocol is the no-op protocol of a unified coherent machine.
-	IdealProtocol = model.Ideal
-)
-
-// The terminal memory technologies (the mem_tech axis).
-const (
-	// MemDRAM is the paper's DDR3-1333 baseline (the default).
-	MemDRAM = memtech.DRAM
-	// MemHBM is a high-bandwidth stacked DRAM.
-	MemHBM = memtech.HBM
-	// MemNVM is a non-volatile tier with asymmetric read/write latency.
-	MemNVM = memtech.NVM
-	// MemDRAMCache is a DRAM cache fronting slow far memory.
-	MemDRAMCache = memtech.DRAMCache
-)
-
-// The MMU arrangements of the translation axis.
-const (
-	// TranslationOff leaves translation off the timed path (the default).
-	TranslationOff = xlat.Off
-	// PrivateMMU gives each PU its own MMU and page walker.
-	PrivateMMU = xlat.Private
-	// SharedMMU makes both PUs contend for one MMU's page walker.
-	SharedMMU = xlat.Shared
-)
-
-// Declarative system and grid serialisation (JSON).
-var (
-	// LoadSystem parses a declarative system description.
-	LoadSystem = systems.Load
-	// LoadSystemFile reads and parses a system description file.
-	LoadSystemFile = systems.LoadFile
-	// SaveSystem serialises a system so LoadSystem round-trips it.
-	SaveSystem = systems.Save
-	// HashSystem returns the canonical "sha256:..." content hash of a
-	// design point (name-invariant); the run ledger's spec key.
-	HashSystem = systems.Hash
-	// LoadGridFile reads and parses a design-space grid description.
-	LoadGridFile = systems.LoadGridFile
 )
 
 // Case-study system constructors (Section V-A).
@@ -166,15 +81,6 @@ var (
 	IdealHetero = systems.IdealHetero
 	// CaseStudies returns all five in the paper's order.
 	CaseStudies = systems.CaseStudies
-	// CaseStudiesWithTech returns the five case studies re-terminated on
-	// the given memory technology.
-	CaseStudiesWithTech = systems.CaseStudiesWithTech
-	// CaseStudiesWithTranslation returns the five case studies with the
-	// given address-translation spec applied to each.
-	CaseStudiesWithTranslation = systems.CaseStudiesWithTranslation
-	// GraceHopper is the Grace-Hopper-style preset: coherent unified
-	// memory through shared controllers, terminated on HBM.
-	GraceHopper = systems.GraceHopper
 	// SystemForModel returns the Figure 7 configuration for a model:
 	// ideal communication, shared cache.
 	SystemForModel = systems.ForModel
@@ -249,9 +155,4 @@ var (
 	RenderFigure6 = harness.RenderFigure6
 	// RenderFigure7 formats an address-space sweep as Figure 7.
 	RenderFigure7 = harness.RenderFigure7
-	// OpenResultCache opens (or creates) a persistent result cache at a
-	// directory; "" opens a memory-only store.
-	OpenResultCache = rescache.Open
-	// PointKey derives the exact cache key for (system, program, options).
-	PointKey = harness.PointKey
 )

@@ -22,9 +22,6 @@ func NewScratchpad(name string, capacity uint64) *Scratchpad {
 	return &Scratchpad{name: name, capacity: capacity, ranges: make(map[uint64]uint64)}
 }
 
-// Capacity returns the total capacity in bytes.
-func (s *Scratchpad) Capacity() uint64 { return s.capacity }
-
 // Used returns the bytes currently allocated.
 func (s *Scratchpad) Used() uint64 { return s.used }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"heteromem/internal/rescache"
 	"heteromem/internal/sim"
@@ -121,28 +122,13 @@ func streamDigest(s trace.Stream) string {
 // (pinned by the observability equivalence tests) and are excluded.
 func optionsFingerprint(opts sim.Options) string {
 	var parts []string
-	if opts.Hierarchy != nil {
-		data, err := json.Marshal(opts.Hierarchy)
-		if err != nil {
-			panic("harness: marshaling hierarchy override: " + err.Error())
-		}
-		sum := sha256.Sum256(data)
-		parts = append(parts, "hier:"+hex.EncodeToString(sum[:8]))
-	}
 	if opts.DisableCoalescing {
 		parts = append(parts, "nocoalesce")
 	}
 	if opts.Locality != nil {
 		parts = append(parts, "loc:"+opts.Locality.Name())
 	}
-	if len(parts) == 0 {
-		return ""
-	}
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out += "," + p
-	}
-	return out
+	return strings.Join(parts, ",")
 }
 
 // verifySampled reports whether a cache hit on key is selected for

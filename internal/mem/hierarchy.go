@@ -258,9 +258,8 @@ type Hierarchy struct {
 	// chains and by the L3's victim-writeback path.
 	backend memsys.Backend
 	// xlat is the translation front-end selected by cfg.Xlat; nil when
-	// the axis is off. Access charges it directly (before its L1 fast
-	// path), and it is also installed as the chains' Xlat slot so the
-	// staged Run path translates identically.
+	// the axis is off. Access charges it directly, before its L1 fast
+	// path.
 	xlat  *memsys.TranslationStage
 	chain [NumPUs]memsys.Chain
 	// req is the reusable transaction: accesses are sequential per
@@ -461,13 +460,10 @@ func (h *Hierarchy) buildChains() error {
 	}
 	h.coh = coh
 	h.private[CPU] = &memsys.PrivateStage{
-		PU: memsys.CPU, L1: h.cpuL1d, L1Lat: cfg.CPUL1DLat,
-		L2: h.cpuL2, L2Lat: cfg.CPUL2Lat, Coherence: coh, Env: &h.env,
-	}
-	h.private[GPU] = &memsys.PrivateStage{
-		PU: memsys.GPU, L1: h.gpuL1d, L1Lat: cfg.GPUL1DLat,
+		PU: memsys.CPU, L1: h.cpuL1d, L2: h.cpuL2, L2Lat: cfg.CPUL2Lat,
 		Coherence: coh, Env: &h.env,
 	}
+	h.private[GPU] = &memsys.PrivateStage{PU: memsys.GPU, L1: h.gpuL1d, Coherence: coh, Env: &h.env}
 	h.l3Stage = &memsys.L3Stage{
 		Tiles: h.l3, Lat: cfg.L3Lat,
 		Topo: h.topo, Coherence: coh, Env: &h.env,
@@ -483,13 +479,12 @@ func (h *Hierarchy) buildChains() error {
 	h.xlat = x
 	for p := PU(0); p < NumPUs; p++ {
 		h.chain[p] = memsys.Chain{
-			Xlat:    h.xlat,
 			Private: h.private[p],
 			MSHR:    &memsys.MSHRStage{File: h.mshr[p]},
-			ReqHop:  &memsys.RingHopStage{Stage: memsys.StageRingReq, Net: h.ring, Topo: h.topo},
+			ReqHop:  &memsys.RingHopStage{Net: h.ring, Topo: h.topo},
 			L3:      h.l3Stage,
 			Backend: h.backend,
-			RespHop: &memsys.RingHopStage{Stage: memsys.StageRingResp, Net: h.ring, Topo: h.topo},
+			RespHop: &memsys.RingHopStage{Resp: true, Net: h.ring, Topo: h.topo},
 			Commit:  &memsys.CommitStage{Private: h.private[p], File: h.mshr[p], Env: &h.env},
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"heteromem/internal/clock"
 	"heteromem/internal/dram"
 	"heteromem/internal/obs"
-	"heteromem/internal/xlat"
 )
 
 // fakeNet records every Send and charges a fixed latency per hop.
@@ -59,7 +58,7 @@ func TestTopologyMapping(t *testing.T) {
 }
 
 // newTestChain returns a CPU chain over small private caches, a
-// four-tile L3 and a DDR3 backend, with 4 KB translation in front.
+// four-tile L3 and a DDR3 backend.
 func newTestChain(t *testing.T, prof *obs.HostProf) *Chain {
 	t.Helper()
 	ctrl, err := dram.New(dram.DDR3_1333())
@@ -71,18 +70,17 @@ func newTestChain(t *testing.T, prof *obs.HostProf) *Chain {
 	topo := testTopo()
 	l3 := newTestL3(t, env)
 	private := &PrivateStage{
-		PU: CPU, L1: mustCache(t, "l1", 4096), L1Lat: 2,
+		PU: CPU, L1: mustCache(t, "l1", 4096),
 		L2: mustCache(t, "l2", 8192), L2Lat: 8, Env: env,
 	}
 	file := cache.NewMSHR(4)
 	c := &Chain{
-		Xlat:    mustStage(t, xlat.MustParsePreset("4k")),
 		Private: private,
 		MSHR:    &MSHRStage{File: file},
-		ReqHop:  &RingHopStage{Stage: StageRingReq, Net: net, Topo: topo},
+		ReqHop:  &RingHopStage{Net: net, Topo: topo},
 		L3:      l3,
 		Backend: &DRAMStage{Ctrl: ctrl, Net: net, Topo: topo, L3: l3, Env: env},
-		RespHop: &RingHopStage{Stage: StageRingResp, Net: net, Topo: topo},
+		RespHop: &RingHopStage{Resp: true, Net: net, Topo: topo},
 		Commit:  &CommitStage{Private: private, File: file, Env: env},
 		Prof:    prof,
 	}
@@ -93,24 +91,25 @@ func newTestChain(t *testing.T, prof *obs.HostProf) *Chain {
 	return c
 }
 
-// TestChainStampsAndShortCircuits pins the chain's stamping contract on
-// every exit — a stage that answers Done leaves every later stamp zero,
-// and a shared-path request stamps through StageCommit — and pins that
-// a host-profiled chain (every run sampled) produces the same Stamp,
-// Flags and Now as an unprofiled one, stage by stage.
-func TestChainStampsAndShortCircuits(t *testing.T) {
+// TestChainShortCircuits pins RunMissedL1 on every exit — an L2 hit
+// and an MSHR merge answer Done before the shared path, a shared-path
+// request records when it passed the MSHR check — and pins that a
+// host-profiled chain (every run sampled) produces the same Flags, Now
+// and Shared as an unprofiled one.
+func TestChainShortCircuits(t *testing.T) {
 	type step struct {
-		name  string
-		at    clock.Time
-		evict bool    // drop the line from the private levels first
-		last  StageID // last stage that must stamp
-		flag  Flags   // flag the request must carry
+		name   string
+		at     clock.Time
+		evict  bool  // drop the line from the L1 first
+		evict2 bool  // drop it from the L2 as well
+		flag   Flags // flag the request must carry
+		shared bool  // the request must reach the shared path
 	}
 	steps := []step{
-		{name: "cold miss to DRAM", at: 5, last: StageCommit, flag: FlagDRAM},
-		{name: "L1 hit", at: 1_000_000, last: StagePrivate, flag: FlagL1Hit},
-		{name: "merge with in-flight miss", at: 10, evict: true, last: StageMSHR, flag: FlagMerged},
-		{name: "L3 hit", at: 10_000_000, evict: true, last: StageCommit, flag: FlagL3Hit},
+		{name: "cold miss to DRAM", at: 5, flag: FlagDRAM, shared: true},
+		{name: "L2 hit", at: 1_000_000, evict: true, flag: FlagL2Hit},
+		{name: "merge with in-flight miss", at: 10, evict: true, evict2: true, flag: FlagMerged},
+		{name: "L3 hit", at: 10_000_000, evict: true, evict2: true, flag: FlagL3Hit, shared: true},
 	}
 	run := func(prof *obs.HostProf) []Request {
 		c := newTestChain(t, prof)
@@ -118,12 +117,15 @@ func TestChainStampsAndShortCircuits(t *testing.T) {
 		for _, st := range steps {
 			if st.evict {
 				c.Private.L1.Invalidate(0x40)
+			}
+			if st.evict2 {
 				c.Private.L2.Invalidate(0x40)
 			}
+			// The caller has charged the 2-ps L1 probe that missed.
 			var r Request
-			r.Start(CPU, 0x40, 0x40, false, st.at)
-			if done := c.Run(&r); done != r.Now {
-				t.Fatalf("%s: Run returned %d, request ends at %d", st.name, done, r.Now)
+			r.Start(CPU, 0x40, 0x40, false, st.at.Add(2))
+			if done := c.RunMissedL1(&r); done != r.Now {
+				t.Fatalf("%s: RunMissedL1 returned %d, request ends at %d", st.name, done, r.Now)
 			}
 			out = append(out, r)
 		}
@@ -137,28 +139,26 @@ func TestChainStampsAndShortCircuits(t *testing.T) {
 		if r.Flags&st.flag == 0 {
 			t.Errorf("%s: flags = %v, want %v set", st.name, r.Flags, st.flag)
 		}
-		for s := StageXlat; s < NumStages; s++ {
-			if s == StageCoherence {
-				continue // the chain folds coherence into private and L3
-			}
-			if stamped := r.Stamp[s] != 0; stamped != (s <= st.last) {
-				t.Errorf("%s: stamp[%v] = %d, want stamped only through %v", st.name, s, r.Stamp[s], st.last)
-			}
+		// The L1 probe and the L2 charge 2+8; the MSHR check is free.
+		var wantShared clock.Time
+		if st.shared {
+			wantShared = st.at.Add(2 + 8)
 		}
-		if r.Now != r.Stamp[st.last] {
-			t.Errorf("%s: now = %d, last stamp %d", st.name, r.Now, r.Stamp[st.last])
+		if r.Shared != wantShared {
+			t.Errorf("%s: shared = %d, want %d", st.name, r.Shared, wantShared)
 		}
-		if p := profiled[i]; p.Stamp != r.Stamp || p.Flags != r.Flags || p.Now != r.Now {
-			t.Errorf("%s: profiled run diverged:\n plain    %v %v %d\n profiled %v %v %d",
-				st.name, r.Stamp, r.Flags, r.Now, p.Stamp, p.Flags, p.Now)
+		if p := profiled[i]; p.Flags != r.Flags || p.Now != r.Now || p.Shared != r.Shared {
+			t.Errorf("%s: profiled run diverged:\n plain    %v %d %d\n profiled %v %d %d",
+				st.name, r.Flags, r.Now, r.Shared, p.Flags, p.Now, p.Shared)
 		}
 	}
 	reg := obs.NewRegistry()
 	prof.FlushTo(reg)
-	// Xlat and private run on all 4 steps, MSHR on 3, the rest on the 2
+	// The hierarchy translates outside the chain, so xlat is never
+	// charged. Private runs on all 4 steps, MSHR on 3, the rest on the 2
 	// shared-path steps.
 	want := map[string]uint64{
-		"memsys.xlat": 4, "memsys.private": 4, "memsys.mshr": 3, "memsys.ring_req": 2,
+		"memsys.xlat": 0, "memsys.private": 4, "memsys.mshr": 3, "memsys.ring_req": 2,
 		"memsys.l3": 2, "memsys.dram": 2, "memsys.ring_resp": 2, "memsys.commit": 2,
 	}
 	for name, n := range want {
@@ -171,10 +171,10 @@ func TestChainStampsAndShortCircuits(t *testing.T) {
 func TestRequestStartClearsState(t *testing.T) {
 	var r Request
 	r.Flags = FlagDRAM
-	r.Stamp[StageL3] = 99
+	r.Shared = 99
 	r.Start(GPU, 0x80, 0x80, true, 7)
-	if r.Flags != 0 || r.Stamp[StageL3] != 0 {
-		t.Errorf("Start left stale state: flags=%v stamp=%v", r.Flags, r.Stamp)
+	if r.Flags != 0 || r.Shared != 0 {
+		t.Errorf("Start left stale state: flags=%v shared=%v", r.Flags, r.Shared)
 	}
 	if r.PU != GPU || !r.Write || r.Issue != 7 || r.Now != 7 {
 		t.Errorf("Start fields wrong: %+v", r)
@@ -202,8 +202,8 @@ func TestMSHRStageMergesOutstanding(t *testing.T) {
 func TestRingHopStageDirectionsAndSizes(t *testing.T) {
 	net := &fakeNet{lat: 3}
 	topo := testTopo()
-	req := &RingHopStage{Stage: StageRingReq, Net: net, Topo: topo}
-	resp := &RingHopStage{Stage: StageRingResp, Net: net, Topo: topo}
+	req := &RingHopStage{Net: net, Topo: topo}
+	resp := &RingHopStage{Resp: true, Net: net, Topo: topo}
 
 	var r Request
 	addr := uint64(64 * 2) // tile 2, stop 4
@@ -282,31 +282,33 @@ func TestPrivateStageHitLevels(t *testing.T) {
 	env := &Env{}
 	l1 := mustCache(t, "l1", 4096)
 	l2 := mustCache(t, "l2", 8192)
-	s := &PrivateStage{PU: CPU, L1: l1, L1Lat: 2, L2: l2, L2Lat: 8, Env: env}
+	s := &PrivateStage{PU: CPU, L1: l1, L2: l2, L2Lat: 8, Env: env}
 
-	// Cold: both levels miss, both latencies charged.
+	// Cold: the L2 misses too, its latency charged on top of the L1's.
 	var r Request
-	r.Start(CPU, 0x40, 0x40, false, 0)
-	if v := s.Process(&r); v != Next || r.Now != 10 {
+	r.Start(CPU, 0x40, 0x40, false, 2)
+	if v := s.ProcessMissedL1(&r); v != Next || r.Now != 10 {
 		t.Fatalf("cold access: verdict=%v now=%d, want Next at 10", v, r.Now)
 	}
-	// Fill as the commit stage would, then re-access: L1 hit at L1 latency.
+	// Fill as the commit stage would, then evict from L1 only: the next
+	// access is an L2 hit at L1+L2 latency that refills the L1.
 	s.Fill(0x40, false)
-	r.Start(CPU, 0x40, 0x40, false, 0)
-	if v := s.Process(&r); v != Done || r.Now != 2 {
-		t.Fatalf("L1 hit: verdict=%v now=%d, want Done at 2", v, r.Now)
-	}
-	if env.L1Hits[CPU] != 1 || r.Flags&FlagL1Hit == 0 {
-		t.Error("L1 hit not recorded")
-	}
-	// Evict from L1 only: next access is an L2 hit at L1+L2 latency.
 	l1.Invalidate(0x40)
-	r.Start(CPU, 0x40, 0x40, false, 0)
-	if v := s.Process(&r); v != Done || r.Now != 10 {
+	r.Start(CPU, 0x40, 0x40, false, 2)
+	if v := s.ProcessMissedL1(&r); v != Done || r.Now != 10 {
 		t.Fatalf("L2 hit: verdict=%v now=%d, want Done at 10", v, r.Now)
 	}
 	if env.L2Hits != 1 || r.Flags&FlagL2Hit == 0 {
 		t.Error("L2 hit not recorded")
+	}
+	if r.L1Way < 0 || !l1.Probe(0x40) {
+		t.Errorf("L2 hit must refill the L1: way=%d", r.L1Way)
+	}
+	// A PU without a private L2 passes the miss straight on.
+	g := &PrivateStage{PU: GPU, L1: mustCache(t, "g1", 4096), Env: env}
+	r.Start(GPU, 0x40, 0x40, false, 2)
+	if v := g.ProcessMissedL1(&r); v != Next || r.Now != 2 {
+		t.Fatalf("no-L2 miss: verdict=%v now=%d, want Next at 2", v, r.Now)
 	}
 }
 
@@ -314,14 +316,14 @@ func TestCommitStageAllocatesAtIssueTime(t *testing.T) {
 	env := &Env{}
 	file := cache.NewMSHR(4)
 	s := &CommitStage{
-		Private: &PrivateStage{PU: GPU, L1: mustCache(t, "l1", 4096), L1Lat: 2, Env: env},
+		Private: &PrivateStage{PU: GPU, L1: mustCache(t, "l1", 4096), Env: env},
 		File:    file,
 		Env:     env,
 	}
 	var r Request
 	r.Start(GPU, 0x40, 0x40, false, 0)
-	r.Stamp[StageMSHR] = 10 // time the request entered the shared path
-	r.Now = 400             // completion after ring/L3/DRAM
+	r.Shared = 10 // time the request entered the shared path
+	r.Now = 400   // completion after ring/L3/DRAM
 	if v := s.Process(&r); v != Done || r.Now != 400 {
 		t.Fatalf("commit: verdict=%v now=%d, want Done at 400", v, r.Now)
 	}

@@ -17,17 +17,6 @@ const (
 	Done
 )
 
-// Stage is one step of the request path. Process advances r.Now by
-// whatever latency the stage charges, updates the stage's own state
-// (cache contents, MSHR entries, statistics) and decides whether the
-// request continues.
-type Stage interface {
-	// ID names the stage's slot in r.Stamp.
-	ID() StageID
-	// Process applies the stage to the request.
-	Process(r *Request) Verdict
-}
-
 // Interconnect carries request-path messages between stops. noc.Ring
 // satisfies it; a mesh (or any other topology) can be swapped in by
 // implementing the same contract.

@@ -80,35 +80,17 @@ func (e *Env) writeback() {
 }
 
 // PrivateStage is a PU's private cache level(s): the first-level data
-// cache and, on the CPU, the private L2. A hit completes the request;
-// a write hit additionally pays the coherence fee for upgrading the
-// line. The stage also installs lines on behalf of CommitStage (Fill).
+// cache and, on the CPU, the private L2. The hierarchy probes the L1
+// itself (its fast path); the stage continues an L1 miss into the L2,
+// where a hit completes the request. The stage also installs lines on
+// behalf of CommitStage (Fill).
 type PrivateStage struct {
 	PU        PU
 	L1        *cache.Cache
-	L1Lat     clock.Duration
 	L2        *cache.Cache // nil when the PU has no private second level
 	L2Lat     clock.Duration
 	Coherence *CoherenceStage
 	Env       *Env
-}
-
-// ID implements Stage.
-func (s *PrivateStage) ID() StageID { return StagePrivate }
-
-// Process looks the address up in the private levels, charging each
-// level's latency on the way down.
-func (s *PrivateStage) Process(r *Request) Verdict {
-	r.Now = r.Now.Add(s.L1Lat)
-	if s.L1.Lookup(r.Addr, r.Write) {
-		r.Flags |= FlagL1Hit
-		s.Env.L1Hits[s.PU]++
-		if r.Write {
-			s.Coherence.Process(r)
-		}
-		return Done
-	}
-	return s.ProcessMissedL1(r)
 }
 
 // ProcessMissedL1 continues a request whose first-level lookup already
@@ -182,9 +164,6 @@ type MSHRStage struct {
 	File *cache.MSHR
 }
 
-// ID implements Stage.
-func (s *MSHRStage) ID() StageID { return StageMSHR }
-
 // Process checks the MSHR file; a merged request completes when the
 // outstanding fill returns (or immediately, if it already has).
 func (s *MSHRStage) Process(r *Request) Verdict {
@@ -197,26 +176,23 @@ func (s *MSHRStage) Process(r *Request) Verdict {
 }
 
 // RingHopStage moves the request over the interconnect: the request
-// message from the PU's stop to the home L3 tile (StageRingReq), or the
-// data response back (StageRingResp).
+// message from the PU's stop to the home L3 tile, or (Resp) the data
+// response back.
 type RingHopStage struct {
-	Stage StageID // StageRingReq or StageRingResp
-	Net   Interconnect
-	Topo  Topology
+	Resp bool
+	Net  Interconnect
+	Topo Topology
 }
-
-// ID implements Stage.
-func (s *RingHopStage) ID() StageID { return s.Stage }
 
 // Process sends the hop's message and advances the request to the
 // arrival time.
 func (s *RingHopStage) Process(r *Request) Verdict {
 	src := s.Topo.PUStop[r.PU]
 	ts := s.Topo.TileStop(s.Topo.TileFor(r.Addr))
-	if s.Stage == StageRingReq {
-		r.Now = s.Net.Send(src, ts, s.Topo.ReqBytes, r.Now)
-	} else {
+	if s.Resp {
 		r.Now = s.Net.Send(ts, src, s.Topo.LineBytes+s.Topo.ReqBytes, r.Now)
+	} else {
+		r.Now = s.Net.Send(src, ts, s.Topo.ReqBytes, r.Now)
 	}
 	return Next
 }
@@ -234,9 +210,6 @@ type L3Stage struct {
 	Coherence *CoherenceStage
 	Env       *Env
 }
-
-// ID implements Stage.
-func (s *L3Stage) ID() StageID { return StageL3 }
 
 // Process performs the home-tile lookup.
 func (s *L3Stage) Process(r *Request) Verdict {
@@ -276,9 +249,6 @@ type DRAMStage struct {
 
 	accesses backendCounter
 }
-
-// ID implements Stage.
-func (s *DRAMStage) ID() StageID { return StageDRAM }
 
 // Process fetches the line from DRAM unless the L3 already served it.
 func (s *DRAMStage) Process(r *Request) Verdict {
@@ -325,20 +295,16 @@ type CommitStage struct {
 	Env     *Env
 }
 
-// ID implements Stage.
-func (s *CommitStage) ID() StageID { return StageCommit }
-
 // Process fills the private levels and allocates the MSHR entry. The
 // allocation is keyed to the time the request entered the shared path
-// (the MSHR stamp), not its completion time, so merges observe the
-// full in-flight window. The InFlight walk only runs with a live
+// (r.Shared), not its completion time, so merges observe the full
+// in-flight window. The InFlight walk only runs with a live
 // gauge, so the uninstrumented path pays a single nil check.
 func (s *CommitStage) Process(r *Request) Verdict {
 	r.L1Way = int8(s.Private.Fill(r.Addr, r.Write))
-	issued := r.Stamp[StageMSHR]
-	r.Now = s.File.Allocate(r.Line, issued, r.Now)
+	r.Now = s.File.Allocate(r.Line, r.Shared, r.Now)
 	if g := s.Env.Obs.MSHROut[s.Private.PU]; g != nil {
-		g.Set(uint64(s.File.InFlight(issued)))
+		g.Set(uint64(s.File.InFlight(r.Shared)))
 	}
 	return Done
 }
@@ -346,9 +312,9 @@ func (s *CommitStage) Process(r *Request) Verdict {
 // CoherenceStage prices the directory work an access requires: remote
 // copies are invalidated (and dirty ones written back) over the
 // interconnect before the access may complete. It is invoked as a
-// sub-stage by PrivateStage (write hits) and L3Stage (every shared
-// access), and is free when the directory is off or the access needs
-// no remote work.
+// sub-stage by L3Stage (every shared access) and, through Apply, by the
+// hierarchy's L1 fast path (write hits), and is free when the directory
+// is off or the access needs no remote work.
 type CoherenceStage struct {
 	Dir  *coherence.Directory // nil = coherence off
 	Net  Interconnect
@@ -365,9 +331,6 @@ type CoherenceStage struct {
 	Gen *[NumPUs]uint64
 }
 
-// ID implements Stage.
-func (s *CoherenceStage) ID() StageID { return StageCoherence }
-
 // Directory returns the directory, or nil when coherence is off (or
 // the stage itself is absent).
 func (s *CoherenceStage) Directory() *coherence.Directory {
@@ -381,13 +344,7 @@ func (s *CoherenceStage) Directory() *coherence.Directory {
 // invalidates the other PU's copies and charges one interconnect round
 // trip from the home tile to the remote PU.
 func (s *CoherenceStage) Process(r *Request) Verdict {
-	if s == nil || s.Dir == nil {
-		return Next
-	}
-	if now, did := s.apply(r.PU, r.Addr, r.Line, r.Write, r.Now); did {
-		r.Now = now
-		r.Stamp[StageCoherence] = now
-	}
+	r.Now = s.Apply(r.PU, r.Addr, r.Line, r.Write, r.Now)
 	return Next
 }
 
@@ -399,14 +356,13 @@ func (s *CoherenceStage) Apply(pu PU, addr, line uint64, write bool, now clock.T
 	if s == nil || s.Dir == nil {
 		return now
 	}
-	t, _ := s.apply(pu, addr, line, write, now)
-	return t
+	return s.apply(pu, addr, line, write, now)
 }
 
-func (s *CoherenceStage) apply(pu PU, addr, line uint64, write bool, now clock.Time) (clock.Time, bool) {
+func (s *CoherenceStage) apply(pu PU, addr, line uint64, write bool, now clock.Time) clock.Time {
 	act := s.Dir.Access(int(pu), addr, write)
 	if act.Messages == 0 {
-		return now, false
+		return now
 	}
 	s.Env.CoherenceOps++
 	other := CPU
@@ -427,5 +383,5 @@ func (s *CoherenceStage) apply(pu PU, addr, line uint64, write bool, now clock.T
 	if act.Writeback {
 		resp += s.Topo.LineBytes
 	}
-	return s.Net.Send(s.Topo.PUStop[other], ts, resp, t), true
+	return s.Net.Send(s.Topo.PUStop[other], ts, resp, t)
 }

@@ -2,21 +2,27 @@ package workload
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"heteromem/internal/isa"
 	"heteromem/internal/trace"
 )
 
-// cachedAll shares the generated programs across tests: generation is
-// deterministic, and regenerating 26M instructions per test is wasteful.
-var cachedAll = sync.OnceValue(All)
+// opened returns every kernel in Table III order as a streaming
+// program: phase structure and instruction counts without materialized
+// traces.
+func opened() []*Program {
+	var out []*Program
+	for _, n := range Names() {
+		out = append(out, MustOpen(n))
+	}
+	return out
+}
 
 func TestCharacteristicsMatchTableIII(t *testing.T) {
-	// The generated programs must reproduce Table III exactly:
-	// instruction counts, communication counts, initial transfer sizes.
-	programs := cachedAll()
+	// The programs must reproduce Table III exactly: instruction counts,
+	// communication counts, initial transfer sizes.
+	programs := opened()
 	for i, want := range TableIII() {
 		p := programs[i]
 		if p.Name != want.Name {
@@ -30,9 +36,11 @@ func TestCharacteristicsMatchTableIII(t *testing.T) {
 }
 
 func TestAllProgramsValidate(t *testing.T) {
-	for _, p := range cachedAll() {
-		if err := p.Validate(); err != nil {
-			t.Errorf("%s: %v", p.Name, err)
+	// Validate checks only materialized records, so generate each kernel;
+	// one at a time keeps a single kernel's traces live.
+	for _, name := range Names() {
+		if err := MustGenerate(name).Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }
@@ -69,37 +77,44 @@ func TestDeterministic(t *testing.T) {
 
 func TestKernelMixesDiffer(t *testing.T) {
 	// Sanity: the kernels exercise different instruction mixes.
-	stats := map[string]trace.Stats{}
-	for _, p := range cachedAll() {
-		var all trace.Stream
-		for _, ph := range p.Phases {
-			all = trace.Concat(all, ph.CPU, ph.GPU)
+	type mix struct{ total, fp, branches, simd int }
+	stats := map[string]mix{}
+	for _, p := range opened() {
+		var m mix
+		for i := range p.Phases {
+			for _, src := range []trace.Source{p.Phases[i].CPUSource(), p.Phases[i].GPUSource()} {
+				st := trace.SummarizeSource(src)
+				m.total += st.Total
+				m.fp += st.ByKind[isa.FP]
+				m.branches += st.Branches
+				m.simd += st.SIMDOps
+			}
 		}
-		stats[p.Name] = trace.Summarize(all)
+		stats[p.Name] = m
 	}
 	// matrix-mul and dct are FP-heavy; reduction has none of the CPU FP.
-	if stats["matrix-mul"].ByKind[isa.FP] == 0 {
+	if stats["matrix-mul"].fp == 0 {
 		t.Error("matrix-mul has no FP")
 	}
-	if stats["reduction"].ByKind[isa.FP] != 0 {
+	if stats["reduction"].fp != 0 {
 		t.Error("reduction should be integer-only")
 	}
 	// merge-sort is the branchiest relative to size.
-	msRate := float64(stats["merge-sort"].Branches) / float64(stats["merge-sort"].Total)
-	mmRate := float64(stats["matrix-mul"].Branches) / float64(stats["matrix-mul"].Total)
+	msRate := float64(stats["merge-sort"].branches) / float64(stats["merge-sort"].total)
+	mmRate := float64(stats["matrix-mul"].branches) / float64(stats["matrix-mul"].total)
 	if msRate <= mmRate {
 		t.Errorf("merge-sort branch rate %.2f <= matrix-mul %.2f", msRate, mmRate)
 	}
 	// Every kernel has GPU SIMD work.
 	for name, st := range stats {
-		if st.SIMDOps == 0 {
+		if st.simd == 0 {
 			t.Errorf("%s has no SIMD ops", name)
 		}
 	}
 }
 
 func TestTransferPhasesWellFormed(t *testing.T) {
-	for _, p := range cachedAll() {
+	for _, p := range opened() {
 		var h2dSeen bool
 		for _, ph := range p.Phases {
 			if ph.Kind != Transfer {
@@ -122,7 +137,7 @@ func TestTransferPhasesWellFormed(t *testing.T) {
 }
 
 func TestObjectsPresent(t *testing.T) {
-	for _, p := range cachedAll() {
+	for _, p := range opened() {
 		if len(p.Objects) == 0 {
 			t.Errorf("%s: no objects for locality planning", p.Name)
 		}
